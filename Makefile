@@ -12,9 +12,9 @@ GO ?= go
 # (serial vs parallel kernels), the isolated zero-alloc power-loop body,
 # the pooled parallel dispatch path, CSR and block-diagonal assembly, the
 # Engine serving paths, the sharded-router scaling curves, the batched
-# multi-tenant ranking path, the warm re-rank allocation profile under
-# the generation-keyed Update cache (vs. its WithUpdateCache(false)
-# escape-hatch baseline), the durable WAL append path per fsync
+# multi-tenant ranking path (RefreshEngines over one Engine per tenant),
+# the warm re-rank allocation profile under the generation-keyed Update
+# cache, the durable WAL append path per fsync
 # policy (always / interval / off) — the write-path overhead record —
 # the staleness-bounded read path under steady writes (StaleRank:
 # bound=0 inline baseline vs bounded stale serving), and the certified

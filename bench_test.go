@@ -560,17 +560,18 @@ func BenchmarkShardedRank(b *testing.B) {
 //
 //   - per-tenant-sequential is the pre-batching loop: one solo cold solve
 //     per tenant per refresh, no caches (the acceptance baseline).
-//   - batched-all-stale writes to every tenant first, so each refresh is
-//     one 16-tenant block-diagonal solve (warm-started) — it isolates the
-//     packed-solve machinery itself.
-//   - batched-steady writes to one tenant, so a refresh is 15 per-tenant
+//   - batched-all-stale writes to every tenant's Engine first, so each
+//     RefreshEngines call is one 16-tenant block-diagonal solve
+//     (warm-started) — it isolates the packed-solve machinery itself.
+//   - batched-steady writes to one tenant, so a refresh is 15 per-engine
 //     cache hits plus one warm packed re-solve of the written tenant with
 //     a delta (touched-rows) CSR rebuild — the steady-state serving cost.
 //
-// The committed acceptance bar is batched-steady ≥ 2x the throughput of
-// per-tenant-sequential; on multi-core hosts batched-all-stale additionally
-// beats sequential because the packed system clears the parallel kernels'
-// size cutoff that each small tenant misses alone.
+// Writes go through Engine.Observe, so the batched variants also pay the
+// copy-on-write clone of each written tenant's matrix, as serving does.
+// On multi-core hosts batched-all-stale additionally beats sequential
+// because the packed system clears the parallel kernels' size cutoff that
+// each small tenant misses alone.
 func BenchmarkBatchedRank(b *testing.B) {
 	const nTenants = 16
 	ctx := context.Background()
@@ -588,17 +589,34 @@ func BenchmarkBatchedRank(b *testing.B) {
 		}
 		return tenants
 	}
-	write := func(b *testing.B, m *response.Matrix, i int) {
-		b.Helper()
-		item := i % m.Items()
-		m.SetAnswer(i%m.Users(), item, i%m.OptionCount(item))
+	// write is the i-th operation's single response for a tenant.
+	write := func(m *response.Matrix, i int) (user, item, option int) {
+		item = i % m.Items()
+		return i % m.Users(), item, i % m.OptionCount(item)
+	}
+	// makeEngines builds one Engine per tenant, cold-solved together.
+	makeEngines := func(b *testing.B) ([]*ResponseMatrix, []*Engine) {
+		tenants := makeTenants(b)
+		engines := make([]*Engine, nTenants)
+		for i, m := range tenants {
+			eng, err := NewEngine(m, WithRankOptions(WithSeed(1)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			engines[i] = eng
+		}
+		if _, err := RefreshEngines(ctx, engines); err != nil { // common cold start
+			b.Fatal(err)
+		}
+		return tenants, engines
 	}
 
 	b.Run("per-tenant-sequential", func(b *testing.B) {
 		tenants := makeTenants(b)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			write(b, tenants[i%nTenants], i)
+			m := tenants[i%nTenants]
+			m.SetAnswer(write(m, i))
 			for _, m := range tenants {
 				if _, err := HND(WithSeed(1)).Rank(ctx, m); err != nil {
 					b.Fatal(err)
@@ -607,37 +625,27 @@ func BenchmarkBatchedRank(b *testing.B) {
 		}
 	})
 	b.Run("batched-all-stale", func(b *testing.B) {
-		tenants := makeTenants(b)
-		eng, err := NewEngine(NewResponseMatrix(2, 1, 2), WithRankOptions(WithSeed(1)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := eng.RankBatch(ctx, tenants); err != nil { // common cold start
-			b.Fatal(err)
-		}
+		tenants, engines := makeEngines(b)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			for _, m := range tenants {
-				write(b, m, i)
+			for k, eng := range engines {
+				if err := eng.Observe(write(tenants[k], i)); err != nil {
+					b.Fatal(err)
+				}
 			}
-			if _, err := eng.RankBatch(ctx, tenants); err != nil {
+			if _, err := RefreshEngines(ctx, engines); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("batched-steady", func(b *testing.B) {
-		tenants := makeTenants(b)
-		eng, err := NewEngine(NewResponseMatrix(2, 1, 2), WithRankOptions(WithSeed(1)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := eng.RankBatch(ctx, tenants); err != nil { // common cold start
-			b.Fatal(err)
-		}
+		tenants, engines := makeEngines(b)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			write(b, tenants[i%nTenants], i)
-			if _, err := eng.RankBatch(ctx, tenants); err != nil {
+			if err := engines[i%nTenants].Observe(write(tenants[i%nTenants], i)); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := RefreshEngines(ctx, engines); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -645,17 +653,14 @@ func BenchmarkBatchedRank(b *testing.B) {
 }
 
 // BenchmarkWarmRerankAllocs quantifies the generation-keyed normalization
-// and Update caches on the steady-state serving path: each op is one
-// single-user Observe followed by a warm Rank (under an outstanding view,
-// as serving traffic would have it).
+// and Update caches on the steady-state serving path.
 //
-//   - cache=on is the default: the write splices the one-hot CSR and its
-//     normalized forms (touched rows + affected column scales only) and the
-//     engine reuses its per-version Update machinery — no full O(nnz)
-//     normalization rebuild anywhere on the warm path.
-//   - cache=off is the WithUpdateCache(false) escape hatch — the previous
-//     rebuild-per-rank behaviour and the acceptance baseline the committed
-//     BENCH_pr5.json records the allocation drop against.
+//   - observe-rank is one single-user Observe followed by a warm Rank
+//     (under an outstanding view, as serving traffic would have it): the
+//     write splices the one-hot CSR and its normalized forms (touched rows
+//     and affected column scales only) and the engine reuses its per-version
+//     Update machinery — no full O(nnz) normalization rebuild anywhere on
+//     the warm path.
 //   - normalized-memo-hit isolates the solve-input fetch on an unchanged
 //     matrix — the pure cache-hit body, CI-guarded at 0 allocs/op.
 func BenchmarkWarmRerankAllocs(b *testing.B) {
@@ -668,30 +673,28 @@ func BenchmarkWarmRerankAllocs(b *testing.B) {
 	}
 	ctx := context.Background()
 
-	for _, cache := range []bool{true, false} {
-		b.Run(fmt.Sprintf("cache=%v", cache), func(b *testing.B) {
-			eng, err := NewEngine(d.Responses, WithRankOptions(WithSeed(1)), WithUpdateCache(cache))
-			if err != nil {
+	b.Run("observe-rank", func(b *testing.B) {
+		eng, err := NewEngine(d.Responses, WithRankOptions(WithSeed(1)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := eng.Rank(ctx); err != nil { // common cold start
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			eng.View() // serving reader holds a snapshot across the write
+			user, item := i%cfg.Users, i%cfg.Items
+			k := d.Responses.OptionCount(item)
+			if err := eng.Observe(user, item, i%k); err != nil {
 				b.Fatal(err)
 			}
-			if _, err := eng.Rank(ctx); err != nil { // common cold start
+			if _, err := eng.Rank(ctx); err != nil {
 				b.Fatal(err)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				eng.View() // serving reader holds a snapshot across the write
-				user, item := i%cfg.Users, i%cfg.Items
-				k := d.Responses.OptionCount(item)
-				if err := eng.Observe(user, item, i%k); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := eng.Rank(ctx); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+		}
+	})
 
 	b.Run("normalized-memo-hit", func(b *testing.B) {
 		m := d.Responses.Clone()

@@ -3,8 +3,12 @@ package hitsndiffs
 import (
 	"context"
 	"math"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
+
+	"hitsndiffs/internal/core"
 )
 
 // goldenWorkload picks a workload every registry method can rank: binary
@@ -39,45 +43,63 @@ func goldenWorkload(t *testing.T, method string) *ResponseMatrix {
 }
 
 // TestUpdateCacheGoldenEquivalence is the golden suite of the cache
-// protocol: for every registered method, Engine.Rank scores must be bitwise
-// identical with the generation-keyed Update cache on vs. the
-// WithUpdateCache(false) escape hatch, on the cold path and across a series
-// of warm re-ranks (single writes, retractions and a burst).
+// protocol: for every registered method, Engine.Rank and the packed
+// RefreshEngines path must be bitwise identical to a direct solve whose
+// update machinery is built from scratch (core.NewUpdateScratch, bypassing
+// every generation-keyed memo) and warm-started from the previous
+// reference scores, on the cold path and across a series of warm re-ranks
+// (single writes, retractions and a burst).
 func TestUpdateCacheGoldenEquivalence(t *testing.T) {
 	ctx := context.Background()
+	base := []Option{WithSeed(3), WithParallelism(1)}
 	for _, method := range MethodNames() {
-		method := method
 		t.Run(method, func(t *testing.T) {
+			info, _ := Describe(method)
 			m := goldenWorkload(t, method)
-			mkEngine := func(cache bool) *Engine {
-				eng, err := NewEngine(m, WithMethod(method),
-					WithRankOptions(WithSeed(3), WithParallelism(1)),
-					WithUpdateCache(cache))
+			mkEngine := func() *Engine {
+				eng, err := NewEngine(m, WithMethod(method), WithRankOptions(base...))
 				if err != nil {
 					t.Fatal(err)
 				}
 				return eng
 			}
-			cached, scratch := mkEngine(true), mkEngine(false)
+			ranked, refreshed := mkEngine(), mkEngine()
 
+			var warm []float64
 			step := func(phase string) {
-				cres, cerr := cached.Rank(ctx)
-				sres, serr := scratch.Rank(ctx)
-				if (cerr == nil) != (serr == nil) {
-					t.Fatalf("%s: cached err %v vs scratch err %v", phase, cerr, serr)
+				view, _ := ranked.View()
+				opts := append([]Option(nil), base...)
+				if warm != nil {
+					opts = append(opts, WithWarmStart(warm))
 				}
-				if cerr != nil {
-					if cerr.Error() != serr.Error() {
-						t.Fatalf("%s: errors differ: %v vs %v", phase, cerr, serr)
+				if info.UpdateBacked {
+					opts = append(opts, withUpdate(core.NewUpdateScratch(view)))
+				}
+				r, err := New(method, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, werr := r.Rank(ctx, view)
+				got, gerr := ranked.Rank(ctx)
+				bulk, berr := RefreshEngines(ctx, []*Engine{refreshed})
+				if werr != nil {
+					if gerr == nil || gerr.Error() != werr.Error() || berr == nil || !strings.Contains(berr.Error(), werr.Error()) {
+						t.Fatalf("%s: reference err %v vs rank err %v vs refresh err %v", phase, werr, gerr, berr)
 					}
 					return
 				}
-				if !scoresEqualBits(cres.Scores, sres.Scores) {
-					t.Fatalf("%s: cached scores differ from scratch scores", phase)
+				if gerr != nil || berr != nil {
+					t.Fatalf("%s: rank err %v, refresh err %v", phase, gerr, berr)
 				}
-				if cres.Iterations != sres.Iterations || cres.Flipped != sres.Flipped {
-					t.Fatalf("%s: solve metadata diverged (it %d vs %d)", phase, cres.Iterations, sres.Iterations)
+				for _, res := range []Result{got, bulk[0]} {
+					if !scoresEqualBits(res.Scores, want.Scores) {
+						t.Fatalf("%s: cached scores differ from scratch scores", phase)
+					}
+					if res.Iterations != want.Iterations || res.Flipped != want.Flipped {
+						t.Fatalf("%s: solve metadata diverged (it %d vs %d)", phase, res.Iterations, want.Iterations)
+					}
 				}
+				warm = want.Scores
 			}
 
 			step("cold")
@@ -87,68 +109,75 @@ func TestUpdateCacheGoldenEquivalence(t *testing.T) {
 				{User: 3, Item: 2, Option: 0},
 			}
 			for i, o := range writes {
-				if err := cached.Observe(o.User, o.Item, o.Option); err != nil {
-					t.Fatal(err)
-				}
-				if err := scratch.Observe(o.User, o.Item, o.Option); err != nil {
-					t.Fatal(err)
+				for _, eng := range []*Engine{ranked, refreshed} {
+					if err := eng.Observe(o.User, o.Item, o.Option); err != nil {
+						t.Fatal(err)
+					}
 				}
 				step([]string{"warm-write", "warm-retract", "warm-rewrite"}[i])
 			}
 			burst := []Observation{{User: 1, Item: 1, Option: 0}, {User: 9, Item: 4, Option: 1}, {User: 12, Item: 0, Option: 1}}
-			if err := cached.ObserveBatch(burst); err != nil {
-				t.Fatal(err)
-			}
-			if err := scratch.ObserveBatch(burst); err != nil {
-				t.Fatal(err)
+			for _, eng := range []*Engine{ranked, refreshed} {
+				if err := eng.ObserveBatch(burst); err != nil {
+					t.Fatal(err)
+				}
 			}
 			step("warm-burst")
 		})
 	}
 }
 
-// TestRankBatchGoldenEquivalence extends the golden suite to the batched
-// multi-tenant path: RankBatch results must be bitwise identical with the
-// per-tenant caches backed by the generation-keyed memos vs. forced
-// from-scratch construction, across cold, cached-steady and re-written
-// tenants.
+// TestRankBatchGoldenEquivalence extends the golden suite to the packed
+// multi-tenant path: RefreshEngines results, with the per-engine caches
+// backed by the generation-keyed memos, must be bitwise identical to
+// direct solves whose update machinery is built from scratch
+// (core.NewUpdateScratch) and warm-started from the previous reference
+// scores, across cold, all-cached and partly re-written tenants.
 func TestRankBatchGoldenEquivalence(t *testing.T) {
 	ctx := context.Background()
-	tenants := tenantWorkloads(t, 5, 21)
-	mkEngine := func(cache bool) *Engine {
-		eng, err := NewEngine(NewResponseMatrix(2, 1, 2),
-			WithRankOptions(WithSeed(3), WithParallelism(1)),
-			WithUpdateCache(cache))
+	base := []Option{WithSeed(3), WithParallelism(1)}
+	engines := tenantEngines(t, 5, 21, WithRankOptions(base...))
+	warm := make([][]float64, len(engines))
+	step := func(phase string, written ...int) {
+		got, err := RefreshEngines(ctx, engines)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", phase, err)
 		}
-		return eng
-	}
-	cached, scratch := mkEngine(true), mkEngine(false)
-
-	step := func(phase string) {
-		cres, err := cached.RankBatch(ctx, tenants)
-		if err != nil {
-			t.Fatalf("%s: cached: %v", phase, err)
-		}
-		sres, err := scratch.RankBatch(ctx, tenants)
-		if err != nil {
-			t.Fatalf("%s: scratch: %v", phase, err)
-		}
-		for i := range tenants {
-			if !scoresEqualBits(cres[i].Scores, sres[i].Scores) {
+		for i, e := range engines {
+			if warm[i] != nil && !slices.Contains(written, i) {
+				if !scoresEqualBits(got[i].Scores, warm[i]) {
+					t.Fatalf("%s: unwritten tenant %d changed scores", phase, i)
+				}
+				continue
+			}
+			view, _ := e.View()
+			opts := append([]Option{withUpdate(core.NewUpdateScratch(view))}, base...)
+			if warm[i] != nil {
+				opts = append(opts, WithWarmStart(warm[i]))
+			}
+			want, err := HND(opts...).Rank(ctx, view)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !scoresEqualBits(got[i].Scores, want.Scores) {
 				t.Fatalf("%s: tenant %d scores differ between cached and scratch", phase, i)
 			}
+			warm[i] = want.Scores
 		}
 	}
 
 	step("cold")
 	step("all-cached")
-	tenants[2].SetAnswer(4, 3, 1)
-	step("one-stale")
-	tenants[0].SetAnswer(0, 0, Unanswered)
-	tenants[4].SetAnswer(9, 2, 2)
-	step("two-stale")
+	write := func(i, user, item, option int) {
+		if err := engines[i].Observe(user, item, option); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(2, 4, 3, 1)
+	step("one-stale", 2)
+	write(0, 0, 0, Unanswered)
+	write(4, 9, 2, 2)
+	step("two-stale", 0, 4)
 }
 
 // TestWarmRerankAvoidsFullNormalizationRebuild is the counter assertion of
@@ -240,8 +269,8 @@ func assertNormalizedTripleConsistent(t *testing.T, m *ResponseMatrix) {
 }
 
 // TestUpdateCacheConcurrentStress hammers one engine with concurrent
-// Observe, Rank, RankBatch, InferLabels and View traffic over the shared
-// generation-keyed caches. Run under -race it is the cache protocol's
+// Observe, Rank, RefreshEngines, InferLabels and View traffic over the
+// shared generation-keyed caches. Run under -race it is the cache protocol's
 // concurrency proof; the view checker additionally asserts every snapshot
 // observes a fully consistent (C, C_row, C_col) triple, never a partially
 // refreshed one.
@@ -255,8 +284,8 @@ func TestUpdateCacheConcurrentStress(t *testing.T) {
 	if _, err := eng.Rank(ctx); err != nil {
 		t.Fatal(err)
 	}
-	tenants := tenantWorkloads(t, 3, 31)
-	if _, err := eng.RankBatch(ctx, tenants); err != nil {
+	tenants := tenantEngines(t, 3, 31, WithRankOptions(WithSeed(2), WithMaxIter(200)))
+	if _, err := RefreshEngines(ctx, tenants); err != nil {
 		t.Fatal(err)
 	}
 
@@ -292,9 +321,11 @@ func TestUpdateCacheConcurrentStress(t *testing.T) {
 		_, err := eng.InferLabels(ctx)
 		return err
 	})
-	run(func(i int) error { // batcher: writes its own tenants between calls
-		tenants[i%len(tenants)].SetAnswer(i%tenants[0].Users(), i%tenants[0].Items(), i%3)
-		_, err := eng.RankBatch(ctx, tenants)
+	run(func(i int) error { // packed refresher: the shared engine plus its own tenants
+		if err := tenants[i%len(tenants)].Observe(i%tenants[0].Users(), i%tenants[0].Items(), i%3); err != nil {
+			return err
+		}
+		_, err := RefreshEngines(ctx, append([]*Engine{eng}, tenants...))
 		return err
 	})
 	viewerDone := make(chan struct{})

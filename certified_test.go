@@ -399,10 +399,10 @@ func TestCertifiedHitCachePurity(t *testing.T) {
 }
 
 // TestCertifiedConcurrentStress hammers one certification-enabled engine
-// with concurrent Observe, Rank, RankBatch, InferLabels and View traffic.
-// The writers mix real writes (fallbacks) with idempotent rewrites
-// (certified hits), so both certification outcomes race the cache and
-// copy-on-write protocols; run under -race this is the certified path's
+// with concurrent Observe, Rank, RefreshEngines, InferLabels and View
+// traffic. The writers mix real writes (fallbacks) with idempotent
+// rewrites (certified hits), so both certification outcomes race the cache
+// and copy-on-write protocols; run under -race this is the certified path's
 // concurrency proof.
 func TestCertifiedConcurrentStress(t *testing.T) {
 	const iters = 50
@@ -415,8 +415,8 @@ func TestCertifiedConcurrentStress(t *testing.T) {
 	if _, err := eng.Rank(ctx); err != nil {
 		t.Fatal(err)
 	}
-	tenants := tenantWorkloads(t, 3, 31)
-	if _, err := eng.RankBatch(ctx, tenants); err != nil {
+	tenants := tenantEngines(t, 3, 31, WithRankOptions(WithSeed(2), WithMaxIter(200), WithParallelism(1)))
+	if _, err := RefreshEngines(ctx, tenants); err != nil {
 		t.Fatal(err)
 	}
 
@@ -450,9 +450,11 @@ func TestCertifiedConcurrentStress(t *testing.T) {
 		_, err := eng.InferLabels(ctx)
 		return err
 	})
-	run(func(i int) error { // batcher exercises the pooled-scratch solves
-		tenants[i%len(tenants)].SetAnswer(i%tenants[0].Users(), i%tenants[0].Items(), i%3)
-		_, err := eng.RankBatch(ctx, tenants)
+	run(func(i int) error { // packed refresher races the certifier on the shared engine
+		if err := tenants[i%len(tenants)].Observe(i%tenants[0].Users(), i%tenants[0].Items(), i%3); err != nil {
+			return err
+		}
+		_, err := RefreshEngines(ctx, append([]*Engine{eng}, tenants...))
 		return err
 	})
 	wg.Add(1)
@@ -570,11 +572,11 @@ func TestCertifiedRefreshEnginesEquivalence(t *testing.T) {
 	on, off := mk(true), mk(false)
 	step := func(phase string) {
 		t.Helper()
-		ores, err := RefreshEngines(ctx, on, 0)
+		ores, err := RefreshEngines(ctx, on)
 		if err != nil {
 			t.Fatalf("%s: certified: %v", phase, err)
 		}
-		fres, err := RefreshEngines(ctx, off, 0)
+		fres, err := RefreshEngines(ctx, off)
 		if err != nil {
 			t.Fatalf("%s: uncertified: %v", phase, err)
 		}

@@ -36,14 +36,12 @@ import (
 //
 // The zero value is not usable; construct with NewEngine.
 type Engine struct {
-	method    string
-	base      []Option
-	warm      bool
-	batchSize int
-	updCache  bool
+	method string
+	base   []Option
+	warm   bool
 	// updateBacked is the served method's MethodInfo.UpdateBacked flag,
-	// resolved at construction: only those methods receive the cached (or
-	// escape-hatch scratch) Update machinery.
+	// resolved at construction: only those methods receive the cached
+	// Update machinery.
 	updateBacked bool
 	workers      int    // kernel fan-out from the base options, applied to cached Updates
 	maxStale     uint64 // WithMaxStaleness bound in write generations; 0 = always exact
@@ -51,7 +49,7 @@ type Engine struct {
 	// with a warm start first tries core.HNDPower.CertifyWarm, serving the
 	// previous scores without the iterative solver when one or two power
 	// steps prove them converged at the solve tolerance
-	// (WithCertifiedUpdates; requires the update cache).
+	// (WithCertifiedUpdates).
 	certified bool
 
 	// certHits / certFallbacks count certification attempts that served a
@@ -67,12 +65,6 @@ type Engine struct {
 	// before it is pooled again (core.Options.Scratch contract).
 	scratchPool sync.Pool
 
-	// batchMu serializes RankBatch calls and guards the per-tenant result
-	// cache behind them.
-	batchMu     sync.Mutex
-	tenants     map[*ResponseMatrix]*tenantEntry
-	batchSolves uint64 // tenants actually solved (not served cached); observability + tests
-
 	// cacheHits / cacheMisses feed Metrics: requests served from the
 	// version-keyed result cache vs solves actually started. Atomics so
 	// the read paths (rank's RLock section, peekCached) can bump them
@@ -82,9 +74,7 @@ type Engine struct {
 
 	// staleServes counts results served behind the write frontier under a
 	// WithMaxStaleness bound; servedGen is the monotone watermark of the
-	// highest generation this engine's own matrix was served at (CAS-max —
-	// RankBatch's caller-owned tenant matrices live in their own generation
-	// spaces and do not move it).
+	// highest generation this engine's matrix was served at (CAS-max).
 	staleServes atomic.Uint64
 	servedGen   atomic.Uint64
 
@@ -148,19 +138,16 @@ type engineSettings struct {
 	base         []Option
 	cold         bool
 	shards       int
-	poolSize     int
-	batchSize    int
-	updateCache  bool
 	certified    bool
 	maxStale     uint64
 	ringReplicas int
 }
 
 // defaultEngineSettings seeds the option-merge state NewEngine and
-// NewShardedEngine share: HnD-power with the generation-keyed Update cache
-// and the certified warm-update fast path enabled.
+// NewShardedEngine share: HnD-power with the certified warm-update fast
+// path enabled.
 func defaultEngineSettings() engineSettings {
-	return engineSettings{method: "HnD-power", updateCache: true, certified: true}
+	return engineSettings{method: "HnD-power", certified: true}
 }
 
 // WithMethod selects the registered ranking method the engine serves
@@ -206,15 +193,6 @@ func WithRingPartition(replicas int) EngineOption {
 	}
 }
 
-// WithPoolSize sizes the persistent kernel worker pool at engine
-// construction — shorthand for calling SetPoolSize before NewEngine or
-// NewShardedEngine. The pool is process-global and shared by every engine:
-// the option does not scope the size to this engine, and the most recent
-// resize wins for all of them. Zero (the default) leaves the pool alone.
-func WithPoolSize(n int) EngineOption {
-	return func(s *engineSettings) { s.poolSize = n }
-}
-
 // NewEngine builds an engine serving the given response matrix, which may
 // be empty: answers can arrive later through Observe. The matrix is
 // deep-copied, so the caller's copy stays independent. The method name is
@@ -234,15 +212,10 @@ func NewEngine(m *ResponseMatrix, opts ...EngineOption) (*Engine, error) {
 	if !ok {
 		return nil, fmt.Errorf("hitsndiffs: NewEngine: unknown method %q (known: %v)", s.method, MethodNames())
 	}
-	if s.poolSize > 0 {
-		mat.SetPoolSize(s.poolSize)
-	}
 	return &Engine{
 		method:       s.method,
 		base:         s.base,
 		warm:         !s.cold,
-		batchSize:    s.batchSize,
-		updCache:     s.updateCache,
 		certified:    s.certified,
 		updateBacked: info.UpdateBacked,
 		workers:      newSettings(s.base).workers,
@@ -611,11 +584,7 @@ func (e *Engine) rank(ctx context.Context, needSnapshot, exact bool) (Result, ui
 		extra = append(extra, WithWarmStart(warmScores))
 	}
 	if e.updateBacked {
-		if e.updCache {
-			extra = append(extra, withUpdate(e.preparedUpdate(snapshot)))
-		} else {
-			extra = append(extra, withScratchUpdate())
-		}
+		extra = append(extra, withUpdate(e.preparedUpdate(snapshot)))
 	}
 	var sc *core.SolveScratch
 	if e.method == batchableMethod {
@@ -661,182 +630,6 @@ func (e *Engine) rank(ctx context.Context, needSnapshot, exact bool) (Result, ui
 	return out, version, snapshot, nil
 }
 
-// tenantEntry caches one tenant matrix's last batched result, keyed by the
-// matrix generation it was solved at. The cached score slice doubles as the
-// warm start for the tenant's next re-solve.
-type tenantEntry struct {
-	gen uint64
-	res Result // Scores owned by the cache; copied out per caller
-}
-
-// RankBatch scores several caller-owned tenant matrices with the engine's
-// method and options, one Result per tenant in input order. Stale tenants
-// are solved together: their matrices are packed into one block-diagonal
-// system (core.BatchRanker), so every power step services all of them with
-// a single pass through the persistent kernel worker pool instead of one
-// fan-out per tenant. WithBatchSize caps how many tenants one packed solve
-// takes.
-//
-// Results are cached per tenant, keyed by the matrix pointer and its
-// write-generation counter (ResponseMatrix.Generation): a tenant that was
-// not written since its last RankBatch is served from the cache, and a
-// re-written tenant is re-solved warm-started from its previous scores.
-// The cache retains entries only for the tenants of the most recent call.
-//
-// The tenant matrices must not be written while RankBatch runs (the same
-// contract as Ranker.Rank); writes between calls are what the generation
-// key tracks. Under a WithMaxStaleness bound a re-written tenant keeps
-// serving its previous solve — tagged with Generation and Staleness —
-// until its staleness exceeds the bound. With serial kernels the results
-// are bitwise identical to ranking each tenant alone. Concurrent
-// RankBatch calls serialize.
-func (e *Engine) RankBatch(ctx context.Context, tenants []*ResponseMatrix) ([]Result, error) {
-	return e.rankBatch(ctx, tenants, false)
-}
-
-// RefreshBatch is RankBatch with the staleness bound ignored: every tenant
-// written since its last solve is re-solved, pushing the per-tenant cache
-// to each matrix's current generation. It is the batched refresh path the
-// background scheduler feeds stale tenants into; under a zero bound it is
-// identical to RankBatch.
-func (e *Engine) RefreshBatch(ctx context.Context, tenants []*ResponseMatrix) ([]Result, error) {
-	return e.rankBatch(ctx, tenants, true)
-}
-
-// rankBatch is the shared body of RankBatch (exact false: a staleness
-// bound may serve previous solves) and RefreshBatch (exact true).
-func (e *Engine) rankBatch(ctx context.Context, tenants []*ResponseMatrix, exact bool) ([]Result, error) {
-	if len(tenants) == 0 {
-		return nil, nil
-	}
-	e.batchMu.Lock()
-	defer e.batchMu.Unlock()
-
-	// Resolve unique tenants in first-seen order; duplicates of a pointer
-	// share one solve and one cache entry.
-	order := make([]*ResponseMatrix, 0, len(tenants))
-	slots := make(map[*ResponseMatrix]*batchSlot, len(tenants))
-	for i, m := range tenants {
-		if m == nil {
-			return nil, fmt.Errorf("hitsndiffs: RankBatch tenant %d is nil", i)
-		}
-		sl, ok := slots[m]
-		if !ok {
-			sl = &batchSlot{gen: m.Generation()}
-			if ent := e.tenants[m]; ent != nil {
-				if ent.gen == sl.gen || (!exact && e.maxStale > 0 && sl.gen-ent.gen <= e.maxStale) {
-					sl.ent = ent
-				}
-			}
-			slots[m] = sl
-			order = append(order, m)
-		}
-		sl.idxs = append(sl.idxs, i)
-	}
-	var stale []*ResponseMatrix
-	for _, m := range order {
-		if slots[m].ent == nil {
-			stale = append(stale, m)
-		}
-	}
-	if err := e.solveTenants(ctx, stale, slots); err != nil {
-		return nil, err
-	}
-
-	results := make([]Result, len(tenants))
-	next := make(map[*ResponseMatrix]*tenantEntry, len(order))
-	for _, m := range order {
-		sl := slots[m]
-		next[m] = sl.ent
-		staleness := sl.gen - sl.ent.gen
-		if staleness > 0 {
-			e.staleServes.Add(uint64(len(sl.idxs)))
-		}
-		for _, i := range sl.idxs {
-			out := sl.ent.res
-			out.Scores = append(mat.Vector(nil), sl.ent.res.Scores...)
-			out.Staleness = staleness
-			results[i] = out
-		}
-	}
-	e.tenants = next
-	return results, nil
-}
-
-// batchSlot is RankBatch's per-unique-tenant bookkeeping: the result
-// indices the tenant fills, the generation it was read at, and the cache
-// entry serving it.
-type batchSlot struct {
-	idxs []int
-	gen  uint64
-	ent  *tenantEntry
-}
-
-// solveTenants ranks the stale tenants — batched through the block-diagonal
-// solver when the engine's method supports it, sequentially through the
-// registry otherwise — and installs fresh cache entries into slots. The
-// slots map is keyed by tenant; its entries carry the generation each
-// tenant was read at. Callers hold batchMu.
-func (e *Engine) solveTenants(ctx context.Context, stale []*ResponseMatrix, slots map[*ResponseMatrix]*batchSlot) error {
-	if len(stale) == 0 {
-		return nil
-	}
-	warmFor := func(m *ResponseMatrix) mat.Vector {
-		if !e.warm {
-			return nil
-		}
-		if old := e.tenants[m]; old != nil && len(old.res.Scores) == m.Users() {
-			return old.res.Scores
-		}
-		return nil
-	}
-	if e.method == batchableMethod {
-		items := make([]core.BatchItem, len(stale))
-		for k, m := range stale {
-			items[k] = core.BatchItem{M: m, WarmStart: warmFor(m)}
-		}
-		return runBatches(ctx, e.base, e.updCache, e.batchSize, items,
-			func(k int) string {
-				return fmt.Sprintf("RankBatch tenant %d", slots[stale[k]].idxs[0])
-			},
-			func(k int, res Result) {
-				e.batchSolves++
-				res.Generation = slots[stale[k]].gen
-				slots[stale[k]].ent = &tenantEntry{gen: res.Generation, res: res}
-			})
-	}
-	// Methods without a batched form keep the same caching contract, one
-	// tenant at a time. With the update cache off, the solves fall back to
-	// from-scratch normalized-matrix construction; tenant matrices are
-	// caller-owned, so with it on, each tenant's generation-keyed memo is
-	// its cache.
-	for _, m := range stale {
-		var extra []Option
-		if warm := warmFor(m); warm != nil {
-			extra = append(extra, WithWarmStart(warm))
-		}
-		if !e.updCache && e.updateBacked {
-			extra = append(extra, withScratchUpdate())
-		}
-		opts := e.base
-		if len(extra) > 0 {
-			opts = append(append([]Option(nil), e.base...), extra...)
-		}
-		r, err := New(e.method, opts...)
-		if err != nil {
-			return err
-		}
-		res, err := r.Rank(ctx, m)
-		if err != nil {
-			return err
-		}
-		e.batchSolves++
-		res.Generation = slots[m].gen
-		slots[m].ent = &tenantEntry{gen: res.Generation, res: res}
-	}
-	return nil
-}
-
 // batchableMethod is the registered method with a block-diagonal batched
 // solve path (core.BatchRanker implements exactly the HND power iteration).
 const batchableMethod = "HnD-power"
@@ -845,35 +638,55 @@ const batchableMethod = "HnD-power"
 // engine whose version moved since its last solve contributes its matrix
 // (an O(1) copy-on-write view, warm-started from its previous scores) to
 // one block-diagonal packed system, so a refresh round over N stale
-// tenants pays one lockstep power iteration instead of N kernel fan-outs —
-// the same protocol ShardedEngine.RankAll runs over its shards. Engines
-// already exact answer from their caches; engines serving a method without
-// a batched form refresh individually. batchSize caps tenants per packed
-// solve (0 = all in one). Results are returned per engine in input order
-// and installed into each engine's cache and warm-start state.
+// tenants pays one lockstep power iteration instead of N kernel fan-outs.
+// Engines already exact answer from their caches; engines serving a method
+// without a batched form refresh concurrently through Refresh. An engine
+// listed twice is refreshed once. Results are returned per engine in input
+// order and installed into each engine's cache and warm-start state.
 //
 // The packed solve runs under the first stale engine's options, so the
 // engines should share their construction options — the contract the
 // serving tier's per-server configuration already guarantees. A failing
 // engine (e.g. one with fewer than two answering users) fails the call
-// with no cache poisoned; callers wanting per-engine isolation refresh
-// individually via Refresh. It is the bulk path the background refresh
-// scheduler (internal/refresh) feeds stale tenants into.
-func RefreshEngines(ctx context.Context, engines []*Engine, batchSize int) ([]Result, error) {
-	results := make([]Result, len(engines))
-	var items []core.BatchItem
-	var stale []int
-	var versions []uint64
+// with no cache poisoned, and the error names its input index; callers
+// wanting per-engine isolation refresh individually via Refresh. It is the
+// bulk path the background refresh scheduler (internal/refresh) feeds
+// stale tenants into, and the loop ShardedEngine.RankAll runs over its
+// shards.
+func RefreshEngines(ctx context.Context, engines []*Engine) ([]Result, error) {
 	for i, e := range engines {
 		if e == nil {
 			return nil, fmt.Errorf("hitsndiffs: RefreshEngines engine %d is nil", i)
 		}
+	}
+	return refreshEngines(ctx, engines, func(i int) string { return fmt.Sprintf("RefreshEngines engine %d", i) })
+}
+
+// refreshEngines is the one batched-refresh loop: collect each stale
+// engine's solve input (peekCached → solveInput → certifiedSolve), pack the
+// uncertified ones into one core.BatchRanker call, and install the results
+// with storeSolved; engines without a batched form refresh concurrently
+// meanwhile. label names engine i in errors; the lowest failing index
+// wins, so the reported error is deterministic.
+func refreshEngines(ctx context.Context, engines []*Engine, label func(i int) string) ([]Result, error) {
+	results := make([]Result, len(engines))
+	errs := make([]error, len(engines))
+	first := make(map[*Engine]int, len(engines))
+	var wg sync.WaitGroup
+	var items []core.BatchItem
+	var stale []int
+	var versions []uint64
+	for i, e := range engines {
+		if _, dup := first[e]; dup {
+			continue
+		}
+		first[e] = i
 		if e.method != batchableMethod {
-			res, err := e.Refresh(ctx)
-			if err != nil {
-				return nil, fmt.Errorf("hitsndiffs: RefreshEngines engine %d: %w", i, err)
-			}
-			results[i] = res
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				results[i], errs[i] = e.Refresh(ctx)
+			}()
 			continue
 		}
 		if res, ok := e.peekCached(); ok {
@@ -891,59 +704,44 @@ func RefreshEngines(ctx context.Context, engines []*Engine, batchSize int) ([]Re
 		stale = append(stale, i)
 		versions = append(versions, version)
 	}
-	if len(items) == 0 {
-		return results, nil
-	}
-	first := engines[stale[0]]
-	err := runBatches(ctx, first.base, first.updCache, batchSize, items,
-		func(k int) string { return fmt.Sprintf("RefreshEngines engine %d", stale[k]) },
-		func(k int, res Result) {
+	var batchErr error
+	if len(items) > 0 {
+		br := core.BatchRanker{Opts: newSettings(engines[stale[0]].base).coreOptions()}
+		solved, err := br.RankBatch(ctx, items)
+		var te *core.TenantError
+		switch {
+		case errors.As(err, &te):
+			errs[stale[te.Tenant]] = te.Err
+		case err != nil:
+			batchErr = err
+		}
+		for k, res := range solved {
 			res.Generation = items[k].M.Generation()
 			engines[stale[k]].storeSolved(versions[k], res)
 			results[stale[k]] = res
-		})
-	if err != nil {
-		return nil, err
+		}
+	}
+	wg.Wait()
+	if batchErr != nil {
+		return nil, batchErr
+	}
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("hitsndiffs: %s: %w", label(i), err)
+		}
+	}
+	for i, e := range engines {
+		if j := first[e]; j != i {
+			results[i] = results[j]
+			results[i].Scores = append(mat.Vector(nil), results[j].Scores...)
+		}
 	}
 	return results, nil
 }
 
-// runBatches drives core.BatchRanker over the stale tenants in chunks of at
-// most batchSize (≤ 0 = one batch), delivering each result through install
-// with the tenant's index into items. updateCache false forces from-scratch
-// normalized-matrix construction per tenant (the WithUpdateCache escape
-// hatch); true lets each tenant's generation-keyed memo serve. Per-tenant
-// failures are remapped from chunk-local positions to the caller's naming
-// via label. It is the one chunking loop behind Engine.RankBatch and
-// ShardedEngine.RankAll.
-func runBatches(ctx context.Context, base []Option, updateCache bool, batchSize int, items []core.BatchItem,
-	label func(k int) string, install func(k int, res Result)) error {
-	br := core.BatchRanker{Opts: newSettings(base).coreOptions()}
-	br.Opts.ScratchUpdate = !updateCache
-	chunk := batchSize
-	if chunk <= 0 || chunk > len(items) {
-		chunk = len(items)
-	}
-	for lo := 0; lo < len(items); lo += chunk {
-		hi := min(lo+chunk, len(items))
-		solved, err := br.RankBatch(ctx, items[lo:hi])
-		if err != nil {
-			var te *core.TenantError
-			if errors.As(err, &te) {
-				return fmt.Errorf("hitsndiffs: %s: %w", label(lo+te.Tenant), te.Err)
-			}
-			return err
-		}
-		for j, res := range solved {
-			install(lo+j, res)
-		}
-	}
-	return nil
-}
-
 // peekCached returns a copy of the cached ranking when it is fresh for the
 // engine's current version, without solving, snapshotting, or poisoning the
-// copy-on-write state. The sharded router uses it to collect warm shards
+// copy-on-write state. refreshEngines uses it to collect fresh engines
 // before batch-solving the stale ones.
 func (e *Engine) peekCached() (Result, bool) {
 	e.mu.RLock()
@@ -1035,12 +833,12 @@ func (e *Engine) scratchPut(sc *core.SolveScratch) { e.scratchPool.Put(sc) }
 // hit, installs and returns the solver-equivalent result without entering
 // the iterative solver. The returned Result owns its scores. ok=false means
 // the caller must run the full solve — either the path is not eligible
-// (flag off, no update cache, not HnD-power, cold start) or the certificate
+// (flag off, not HnD-power, cold start) or the certificate
 // was rejected, in which case the fallback solve from the same warm start
 // reproduces the uncertified path bit for bit (only rejections after an
 // eligible attempt count as CertifiedFallbacks).
 func (e *Engine) certifiedSolve(ctx context.Context, m *ResponseMatrix, version uint64, warm []float64) (Result, bool) {
-	if !e.certified || !e.updCache || !e.updateBacked || e.method != batchableMethod || len(warm) == 0 {
+	if !e.certified || !e.updateBacked || e.method != batchableMethod || len(warm) == 0 {
 		return Result{}, false
 	}
 	opts := newSettings(e.base).coreOptions()
@@ -1109,9 +907,6 @@ func (e *Engine) InferLabels(ctx context.Context) ([]int, error) {
 // concurrent use — it is the accessor the serving tier's /metrics endpoint
 // scrapes per request.
 func (e *Engine) Metrics() EngineMetrics {
-	e.batchMu.Lock()
-	batchSolves := e.batchSolves
-	e.batchMu.Unlock()
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	cf, cd := e.m.CSRRebuilds()
@@ -1126,7 +921,6 @@ func (e *Engine) Metrics() EngineMetrics {
 		Items:              e.m.Items(),
 		CacheHits:          e.cacheHits.Load(),
 		CacheMisses:        e.cacheMisses.Load(),
-		BatchSolves:        batchSolves,
 		CertifiedHits:      e.certHits.Load(),
 		CertifiedFallbacks: e.certFallbacks.Load(),
 		CSRFullRebuilds:    cf,

@@ -195,10 +195,10 @@ func ExampleShardedEngine() {
 	// ranked 6 users, converged: true
 }
 
-// Rank many small tenant matrices in one batched block-diagonal solve:
-// stale tenants are packed and solved together, unchanged tenants are
-// served from the per-tenant cache keyed by their write generation.
-func ExampleEngine_RankBatch() {
+// Refresh many small tenants, one Engine each, in one batched
+// block-diagonal solve: stale engines are packed and solved together,
+// engines unwritten since their last solve answer from their caches.
+func ExampleRefreshEngines() {
 	classroomA := hitsndiffs.FromChoices([][]int{
 		{0, 0, 0},
 		{0, 0, 2},
@@ -210,14 +210,16 @@ func ExampleEngine_RankBatch() {
 		{0, 1},
 		{1, 1},
 	}, 2)
-	eng, err := hitsndiffs.NewEngine(hitsndiffs.NewResponseMatrix(2, 1, 2),
-		hitsndiffs.WithRankOptions(hitsndiffs.WithSeed(1)))
-	if err != nil {
-		panic(err)
+	var engines []*hitsndiffs.Engine
+	for _, m := range []*hitsndiffs.ResponseMatrix{classroomA, classroomB} {
+		eng, err := hitsndiffs.NewEngine(m, hitsndiffs.WithRankOptions(hitsndiffs.WithSeed(1)))
+		if err != nil {
+			panic(err)
+		}
+		engines = append(engines, eng)
 	}
 
-	tenants := []*hitsndiffs.ResponseMatrix{classroomA, classroomB}
-	results, err := eng.RankBatch(context.Background(), tenants)
+	results, err := hitsndiffs.RefreshEngines(context.Background(), engines)
 	if err != nil {
 		panic(err)
 	}
@@ -225,17 +227,19 @@ func ExampleEngine_RankBatch() {
 		fmt.Println("tenant", i, "order:", res.Order())
 	}
 
-	// Re-ranking with no writes in between serves every tenant from the
-	// cache — same orders, no solve.
-	cached, err := eng.RankBatch(context.Background(), tenants)
+	// Refreshing again with no writes in between serves every engine from
+	// its cache — same orders, no solve.
+	cached, err := hitsndiffs.RefreshEngines(context.Background(), engines)
 	if err != nil {
 		panic(err)
 	}
 	fmt.Println("cached tenant 0 order:", cached[0].Order())
+	fmt.Println("solves:", engines[0].Metrics().CacheMisses+engines[1].Metrics().CacheMisses)
 	// Output:
 	// tenant 0 order: [0 1 2 3]
 	// tenant 1 order: [0 1 2]
 	// cached tenant 0 order: [0 1 2 3]
+	// solves: 2
 }
 
 // Read the raw per-shard rankings: stale shards are batch-solved together

@@ -49,9 +49,9 @@ type BatchRanker struct {
 }
 
 // TenantError reports which tenant of a RankBatch call failed, by its
-// position in the batch slice. Callers that chunk or filter tenants before
-// batching can unwrap it (errors.As) to translate the position back into
-// their own indexing.
+// position in the batch slice. Callers that filter tenants before batching
+// can unwrap it (errors.As) to translate the position back into their own
+// indexing.
 type TenantError struct {
 	// Tenant is the failing item's index in the RankBatch input slice.
 	Tenant int
@@ -127,16 +127,10 @@ func (b BatchRanker) RankBatch(ctx context.Context, items []BatchItem) ([]Result
 		topts.WarmStart = it.WarmStart
 		t.sdiff = initialDiff(users, topts, 101)
 		t.next = mat.NewVector(users - 1)
-		if opts.ScratchUpdate {
-			c := it.M.Binary()
-			t.crow = c.RowNormalized()
-			t.ccol = c.ColNormalized()
-		} else {
-			// Per-tenant C_row/C_col come from the tenant matrix's
-			// generation-keyed memo: an unchanged tenant contributes its
-			// cached forms, a re-written one pays a touched-rows splice.
-			_, t.crow, t.ccol = it.M.Normalized()
-		}
+		// Per-tenant C_row/C_col come from the tenant matrix's
+		// generation-keyed memo: an unchanged tenant contributes its cached
+		// forms, a re-written one pays a touched-rows splice.
+		_, t.crow, t.ccol = it.M.Normalized()
 		active = append(active, t)
 	}
 

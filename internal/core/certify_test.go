@@ -382,7 +382,7 @@ func TestScreenRejectsHopelessGap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := (HNDPower{Opts: Options{Tol: 1e-9, WarmStart: warm, ScratchUpdate: true}}).Rank(context.Background(), m)
+	want, err := (HNDPower{Opts: Options{Tol: 1e-9, WarmStart: warm, Update: NewUpdateScratch(m)}}).Rank(context.Background(), m)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,7 +72,7 @@ type Options struct {
 	// cold-start iterations; methods without an iterate ignore it.
 	WarmStart mat.Vector
 	// Workers caps the chunks each sparse kernel apply splits into —
-	// executed on the shared persistent worker pool (mat.SetPoolSize):
+	// executed on the shared persistent worker pool (GOMAXPROCS workers):
 	// 1 forces the serial kernels, 0 (the default) tracks
 	// mat.DefaultWorkers() — GOMAXPROCS unless overridden process-wide.
 	Workers int
@@ -83,11 +83,6 @@ type Options struct {
 	// concurrent solves and snapshots is safe); a dimension mismatch falls
 	// back to a fresh build.
 	Update *Update
-	// ScratchUpdate forces from-scratch normalization when building the
-	// update machinery, bypassing the matrix's generation-keyed memo — the
-	// WithUpdateCache(false) escape hatch and the reference path the
-	// equivalence tests compare against. Ignored when Update is set.
-	ScratchUpdate bool
 	// Scratch, when non-nil, supplies pooled solve buffers (iteration
 	// vectors, apply workspace, orientation indices) that HnD-power and its
 	// certification path bind instead of allocating — the engine-level
@@ -113,12 +108,7 @@ func (o Options) newUpdate(m *response.Matrix) *Update {
 		// instead of mutating the shared Update behind concurrent appliers.
 		return &Update{C: u.C, Crow: u.Crow, Ccol: u.Ccol, Delta: u.Delta, workers: w}
 	}
-	var u *Update
-	if o.ScratchUpdate {
-		u = NewUpdateScratch(m)
-	} else {
-		u = NewUpdate(m)
-	}
+	u := NewUpdate(m)
 	u.SetWorkers(o.Workers)
 	return u
 }

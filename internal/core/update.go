@@ -71,9 +71,8 @@ type UpdateDelta struct {
 
 // NewUpdateScratch builds the update machinery with from-scratch
 // normalization, bypassing (and leaving untouched) the matrix's normalized
-// memo. It is the reference construction behind Options.ScratchUpdate /
-// the WithUpdateCache(false) escape hatch, and the oracle the cached-vs-
-// scratch equivalence tests compare against.
+// memo. It is the oracle the cached-vs-scratch equivalence tests compare
+// against; pass it in through Options.Update.
 func NewUpdateScratch(m *response.Matrix) *Update {
 	c := m.Binary()
 	return &Update{

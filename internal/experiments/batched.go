@@ -22,10 +22,11 @@ type BatchedConfig struct {
 // BatchedServing measures multi-tenant ranking latency across tenant
 // counts in the steady-state serving pattern (one tenant written, every
 // tenant's ranking refreshed): the pre-batching loop of solo cold solves
-// against Engine.RankBatch, whose refresh serves the unwritten tenants
-// from the per-tenant version cache and re-solves the written one
-// warm-started in the packed block-diagonal system. It is the
-// experiments-harness twin of BenchmarkBatchedRank.
+// against one Engine per tenant refreshed through
+// hitsndiffs.RefreshEngines, which serves the unwritten tenants from their
+// version caches and re-solves the written one warm-started in the packed
+// block-diagonal system. It is the experiments-harness twin of
+// BenchmarkBatchedRank.
 func BatchedServing(ctx context.Context, cfg BatchedConfig) (*Table, error) {
 	users, items, refreshes := 120, 60, 12
 	if cfg.Quick {
@@ -46,6 +47,7 @@ func BatchedServing(ctx context.Context, cfg BatchedConfig) (*Table, error) {
 			return nil, err
 		}
 		tenants := make([]*hitsndiffs.ResponseMatrix, n)
+		engines := make([]*hitsndiffs.Engine, n)
 		for i := range tenants {
 			gen := irt.DefaultConfig(irt.ModelSamejima)
 			gen.Users, gen.Items, gen.Seed = users, items, cfg.Seed+int64(i)
@@ -55,15 +57,21 @@ func BatchedServing(ctx context.Context, cfg BatchedConfig) (*Table, error) {
 				return nil, err
 			}
 			tenants[i] = d.Responses
+			if engines[i], err = hitsndiffs.NewEngine(d.Responses,
+				hitsndiffs.WithRankOptions(hitsndiffs.WithSeed(cfg.Seed))); err != nil {
+				return nil, err
+			}
 		}
-		write := func(m *hitsndiffs.ResponseMatrix, i int) {
-			item := i % m.Items()
-			m.SetAnswer(i%m.Users(), item, i%m.OptionCount(item))
+		write := func(i int) (user, item, option int) {
+			m := tenants[i%n]
+			item = i % m.Items()
+			return i % m.Users(), item, i % m.OptionCount(item)
 		}
 
 		start := time.Now()
 		for i := 0; i < refreshes; i++ {
-			write(tenants[i%n], i)
+			u, it, o := write(i)
+			tenants[i%n].SetAnswer(u, it, o)
 			for _, m := range tenants {
 				if _, err := hitsndiffs.HND(hitsndiffs.WithSeed(cfg.Seed)).Rank(ctx, m); err != nil {
 					return nil, err
@@ -72,18 +80,15 @@ func BatchedServing(ctx context.Context, cfg BatchedConfig) (*Table, error) {
 		}
 		seqMS := time.Since(start).Seconds() * 1e3 / float64(refreshes)
 
-		eng, err := hitsndiffs.NewEngine(hitsndiffs.NewResponseMatrix(2, 1, 2),
-			hitsndiffs.WithRankOptions(hitsndiffs.WithSeed(cfg.Seed)))
-		if err != nil {
-			return nil, err
-		}
-		if _, err := eng.RankBatch(ctx, tenants); err != nil { // common cold start
+		if _, err := hitsndiffs.RefreshEngines(ctx, engines); err != nil { // common cold start
 			return nil, err
 		}
 		start = time.Now()
 		for i := 0; i < refreshes; i++ {
-			write(tenants[i%n], i)
-			if _, err := eng.RankBatch(ctx, tenants); err != nil {
+			if err := engines[i%n].Observe(write(i)); err != nil {
+				return nil, err
+			}
+			if _, err := hitsndiffs.RefreshEngines(ctx, engines); err != nil {
 				return nil, err
 			}
 		}

@@ -80,7 +80,7 @@ func (m *CSR) mulVecRange(dst, x Vector, lo, hi int) {
 
 // MulVecPar computes dst = m·x like MulVec, splitting the row sweep over up
 // to `workers` chunks (0 = DefaultWorkers) executed on the persistent
-// worker pool (see SetPoolSize). Rows are partitioned into contiguous,
+// worker pool (pool.go). Rows are partitioned into contiguous,
 // nnz-balanced chunks, so the per-row accumulation order — and therefore
 // the floating-point result — is bitwise identical to the serial MulVec for
 // every worker count. Small matrices fall back to the serial kernel. dst

@@ -19,13 +19,10 @@ import (
 // path performs zero heap allocations (see BenchmarkParallelDoPooled and
 // the CI zero-alloc guard).
 //
-// Lifecycle: the pool starts lazily on the first parallel dispatch, sized
-// by SetPoolSize (default GOMAXPROCS). Growing starts new workers; shrinking
-// only lowers the number of channels dispatch targets — surplus workers
-// stay parked on their (empty) channels so a later grow can reuse them and
-// no send can ever hit a closed channel. Workers live for the rest of the
-// process; an idle worker costs one blocked goroutine and one empty
-// channel.
+// Lifecycle: the pool starts lazily on the first parallel dispatch with
+// runtime.GOMAXPROCS(0) workers and keeps that size; workers live for the
+// rest of the process, and an idle worker costs one blocked goroutine and
+// one empty channel.
 
 // taskBuffer is the capacity of each worker's task channel. A little slack
 // lets a dispatcher enqueue all its chunks without handshaking with every
@@ -100,70 +97,28 @@ type poolTask struct {
 	k int
 }
 
-// workerPool is the process-wide set of long-lived kernel workers. chans
-// holds every worker ever started; active is the prefix of chans that
-// dispatch currently targets (see the lifecycle note at the top of the
-// file).
+// workerPool is the process-wide set of long-lived kernel workers, one
+// task channel each.
 type workerPool struct {
-	mu     sync.Mutex    // guards growth of chans
-	chans  atomic.Value  // []chan poolTask, copy-on-grow
-	active atomic.Int64  // how many of chans dispatch may target
-	next   atomic.Uint64 // round-robin cursor over active workers
+	once  sync.Once
+	chans []chan poolTask
+	next  atomic.Uint64 // round-robin cursor over the workers
 }
 
 // kernelPool is the shared pool all parallel kernels — and therefore all
 // engine shards — dispatch through.
 var kernelPool workerPool
 
-// SetPoolSize sets the number of persistent worker goroutines the parallel
-// sparse kernels share, starting the pool if needed. Passing 0 (or a
-// negative value) resolves to runtime.GOMAXPROCS(0). Growing starts new
-// workers; shrinking parks the surplus without interrupting in-flight
-// kernels. Safe for concurrent use with dispatching kernels.
-func SetPoolSize(n int) {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	kernelPool.mu.Lock()
-	kernelPool.startLocked(n)
-	kernelPool.mu.Unlock()
-}
-
-// PoolSize returns the number of pool workers dispatch currently targets;
-// 0 means the pool has not started yet (it will start, GOMAXPROCS-sized, on
-// the first parallel kernel call).
-func PoolSize() int { return int(kernelPool.active.Load()) }
-
-// startLocked grows the worker set to at least n goroutines and publishes n
-// as the active count. Callers hold p.mu.
-func (p *workerPool) startLocked(n int) {
-	chans, _ := p.chans.Load().([]chan poolTask)
-	if len(chans) < n {
-		grown := make([]chan poolTask, len(chans), n)
-		copy(grown, chans)
-		for len(grown) < n {
-			ch := make(chan poolTask, taskBuffer)
-			go poolWorker(ch)
-			grown = append(grown, ch)
-		}
-		p.chans.Store(grown)
-	}
-	p.active.Store(int64(n))
-}
-
-// workers returns the channels of the currently active workers, starting
-// the pool on first use.
+// workers returns the worker channels, starting the pool on first use.
 func (p *workerPool) workers() []chan poolTask {
-	n := p.active.Load()
-	if n == 0 {
-		p.mu.Lock()
-		if p.active.Load() == 0 {
-			p.startLocked(runtime.GOMAXPROCS(0))
+	p.once.Do(func() {
+		p.chans = make([]chan poolTask, runtime.GOMAXPROCS(0))
+		for i := range p.chans {
+			p.chans[i] = make(chan poolTask, taskBuffer)
+			go poolWorker(p.chans[i])
 		}
-		n = p.active.Load()
-		p.mu.Unlock()
-	}
-	return p.chans.Load().([]chan poolTask)[:n]
+	})
+	return p.chans
 }
 
 // dispatch fans the w chunks of r out over the pool — chunk 0 runs on the

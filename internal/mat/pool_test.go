@@ -3,6 +3,7 @@ package mat
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -111,47 +112,55 @@ func TestPoolConcurrentDispatch(t *testing.T) {
 	}
 }
 
-// TestSetPoolSize exercises the grow/shrink lifecycle: resizing between and
-// during dispatches must never lose results or target a dead worker.
+// TestSetPoolSize checks the pool's fixed size: it starts with GOMAXPROCS
+// workers and keeps that size, and dispatches narrower and wider than the
+// pool — sequential and concurrent — never lose a chunk.
 func TestSetPoolSize(t *testing.T) {
 	m := poolTestCSR(t, 1200, 150, 5)
 	x := Ones(m.Cols())
 	want := m.MulVec(NewVector(m.Rows()), x)
-	check := func(w int) {
-		t.Helper()
+	size := runtime.GOMAXPROCS(0)
+	check := func(w int) error {
 		got := m.MulVecPar(NewVector(m.Rows()), x, w)
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("after resize: MulVecPar(w=%d)[%d] = %g, want %g", w, i, got[i], want[i])
+				return fmt.Errorf("MulVecPar(w=%d)[%d] = %g, want %g", w, i, got[i], want[i])
 			}
 		}
+		return nil
 	}
 
-	SetPoolSize(4)
-	if PoolSize() != 4 {
-		t.Fatalf("PoolSize() = %d after SetPoolSize(4)", PoolSize())
-	}
-	check(8) // more chunks than workers: chunks queue
-	SetPoolSize(1)
-	if PoolSize() != 1 {
-		t.Fatalf("PoolSize() = %d after SetPoolSize(1)", PoolSize())
-	}
-	check(6) // shrunk pool still serves wide dispatches
-	SetPoolSize(6)
-	check(6)
-
-	// Resize concurrently with dispatch traffic.
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for _, n := range []int{2, 5, 1, 4, 3} {
-			SetPoolSize(n)
+	// More chunks than workers queue several chunks per worker.
+	for _, w := range []int{2, size, size + 1, 2*size + 1} {
+		if err := check(w); err != nil {
+			t.Fatal(err)
 		}
-	}()
-	for r := 0; r < 10; r++ {
-		check(1 + r%6)
+	}
+	if n := len(kernelPool.workers()); n != size {
+		t.Fatalf("pool has %d workers, want GOMAXPROCS = %d", n, size)
+	}
+
+	// Wide dispatches interleaving on the same workers.
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < 10; r++ {
+				if err := check(size + 1 + (g+r)%6); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(g)
 	}
 	wg.Wait()
-	SetPoolSize(0) // restore the GOMAXPROCS default for other tests
+	close(errs)
+	if err := <-errs; err != nil {
+		t.Fatal(err)
+	}
+	if n := len(kernelPool.workers()); n != size {
+		t.Fatalf("pool resized to %d workers under load, want %d", n, size)
+	}
 }

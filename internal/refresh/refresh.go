@@ -86,9 +86,6 @@ type Config struct {
 	Clock testclock.Clock
 	// Interval is the scheduling round cadence (default DefaultInterval).
 	Interval time.Duration
-	// BatchSize caps tenants per packed block-diagonal solve, forwarded to
-	// hitsndiffs.RefreshEngines (0 = all in one).
-	BatchSize int
 	// MaxPerRound caps how many targets one round refreshes — the rest
 	// stay queued (and counted in Metrics.QueueDepth) for later rounds.
 	// Zero or negative = unlimited.
@@ -104,7 +101,6 @@ type Config struct {
 type Scheduler struct {
 	clock          testclock.Clock
 	interval       time.Duration
-	batchSize      int
 	maxPerRound    int
 	stragglerIters int
 
@@ -164,7 +160,6 @@ func New(cfg Config) *Scheduler {
 	s := &Scheduler{
 		clock:          clk,
 		interval:       interval,
-		batchSize:      cfg.BatchSize,
 		maxPerRound:    cfg.MaxPerRound,
 		stragglerIters: straggler,
 		ctx:            ctx,
@@ -289,9 +284,8 @@ func (s *Scheduler) plan() roundPlan {
 		}
 	}
 	// Inside the packed system, order by expected iteration count (the
-	// last observed solve cost) ascending so WithBatchSize chunks group
-	// cheap solves together instead of padding every chunk to its slowest
-	// member.
+	// last observed solve cost) ascending, then by name, so the packing
+	// order is deterministic round to round.
 	sort.SliceStable(plan.packed, func(i, j int) bool {
 		if plan.packed[i].lastIters != plan.packed[j].lastIters {
 			return plan.packed[i].lastIters < plan.packed[j].lastIters
@@ -313,7 +307,7 @@ func (s *Scheduler) runRound(ctx context.Context) {
 		for i, tg := range plan.packed {
 			engines[i] = tg.eng
 		}
-		results, err := hitsndiffs.RefreshEngines(ctx, engines, s.batchSize)
+		results, err := hitsndiffs.RefreshEngines(ctx, engines)
 		if err != nil {
 			// The packed solve is all-or-nothing; demote the pack to solo
 			// refreshes so one failing tenant cannot starve the round.

@@ -74,31 +74,20 @@ type Matrix struct {
 
 // New creates an empty response matrix for m users, n items, and the given
 // per-item option counts. A single int may be passed to give every item the
-// same number of options.
+// same number of options. It panics on a geometry CheckGeometry rejects.
 func New(users, items int, options ...int) *Matrix {
-	if users <= 0 || items <= 0 {
-		panic(fmt.Sprintf("response: New invalid shape %d users × %d items", users, items))
+	if err := CheckGeometry(users, items, options); err != nil {
+		panic(err.Error())
 	}
-	var per []int
-	switch len(options) {
-	case 1:
+	per := append([]int(nil), options...)
+	if len(per) == 1 {
 		per = make([]int, items)
 		for i := range per {
 			per[i] = options[0]
 		}
-	case 0:
-		panic("response: New requires at least one option count")
-	default:
-		if len(options) != items {
-			panic(fmt.Sprintf("response: New got %d option counts for %d items", len(options), items))
-		}
-		per = append([]int(nil), options...)
 	}
 	offsets := make([]int, items+1)
 	for i, k := range per {
-		if k < 1 {
-			panic(fmt.Sprintf("response: item %d has %d options", i, k))
-		}
 		offsets[i+1] = offsets[i] + k
 	}
 	choices := make([]int, users*items)
@@ -106,6 +95,41 @@ func New(users, items int, options ...int) *Matrix {
 		choices[i] = Unanswered
 	}
 	return &Matrix{users: users, items: items, options: per, offsets: offsets, choices: choices}
+}
+
+// CheckGeometry reports whether New accepts a shape: positive users and
+// items, one option count for every item or one per item, each at least 1,
+// and a cell count (users·items) and option total (Σk, the last one-hot
+// column offset) that fit in an int. Callers taking a geometry from an
+// untrusted source check it before calling New.
+func CheckGeometry(users, items int, options []int) error {
+	if users <= 0 || items <= 0 {
+		return fmt.Errorf("response: New invalid shape %d users × %d items", users, items)
+	}
+	if users > math.MaxInt/items {
+		return fmt.Errorf("response: %d users × %d items overflows the cell count", users, items)
+	}
+	switch {
+	case len(options) == 0:
+		return fmt.Errorf("response: New requires at least one option count")
+	case len(options) == 1:
+		if k := options[0]; k > math.MaxInt/items {
+			return fmt.Errorf("response: %d items × %d options overflows the option offsets", items, k)
+		}
+	case len(options) != items:
+		return fmt.Errorf("response: New got %d option counts for %d items", len(options), items)
+	}
+	total := 0
+	for i, k := range options {
+		if k < 1 {
+			return fmt.Errorf("response: item %d has %d options", i, k)
+		}
+		if k > math.MaxInt-total {
+			return fmt.Errorf("response: item %d's %d options overflow the option offsets", i, k)
+		}
+		total += k
+	}
+	return nil
 }
 
 // FromChoices builds a response matrix from a users×items table of option

@@ -2,6 +2,7 @@ package response
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -50,6 +51,9 @@ func TestNewPanicsOnBadCounts(t *testing.T) {
 		func() { New(1, 2, 2, 2, 2) },
 		func() { New(1, 1, 0) },
 		func() { New(1, 1) },
+		func() { New(1<<62, 4, 2) },                           // users·items wraps to 0
+		func() { New(1, 3, math.MaxInt/2, math.MaxInt/2, 2) }, // Σk overflows
+		func() { New(1, 4, math.MaxInt/2) },                   // items·k overflows
 	} {
 		func() {
 			defer func() {

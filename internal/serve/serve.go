@@ -45,6 +45,7 @@ import (
 	"hitsndiffs"
 	"hitsndiffs/internal/durable"
 	"hitsndiffs/internal/refresh"
+	"hitsndiffs/internal/response"
 	"hitsndiffs/internal/testclock"
 )
 
@@ -64,9 +65,6 @@ type Config struct {
 	// Shards > 1 backs every tenant with a ShardedEngine hashing its
 	// users across that many independent engine shards.
 	Shards int
-	// BatchSize caps tenants/shards per packed block-diagonal solve
-	// (hitsndiffs.WithBatchSize); 0 packs everything into one batch.
-	BatchSize int
 	// RankOptions are the base solve options (tolerance, seed, kernel
 	// parallelism, ...) applied to every tenant engine.
 	RankOptions []hitsndiffs.Option
@@ -252,9 +250,8 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.MaxStaleness > 0 {
 		s.refresher = refresh.New(refresh.Config{
-			Clock:     cfg.RefreshClock,
-			Interval:  cfg.RefreshInterval,
-			BatchSize: cfg.BatchSize,
+			Clock:    cfg.RefreshClock,
+			Interval: cfg.RefreshInterval,
 		})
 	}
 	if cfg.DataDir != "" {
@@ -339,6 +336,9 @@ func (s *Server) CreateTenant(req CreateTenantRequest) (TenantInfo, error) {
 				fmt.Sprintf("every item needs at least 2 options, got %d", k)}
 		}
 	}
+	if err := response.CheckGeometry(req.Users, req.Items, req.Options); err != nil {
+		return TenantInfo{}, &apiError{http.StatusBadRequest, err.Error()}
+	}
 	s.createMu.Lock()
 	defer s.createMu.Unlock()
 	s.mu.RLock()
@@ -390,9 +390,6 @@ func (s *Server) buildTenant(req CreateTenantRequest, shards int, ring bool) (*t
 	opts := []hitsndiffs.EngineOption{
 		hitsndiffs.WithMethod(s.cfg.Method),
 		hitsndiffs.WithRankOptions(s.cfg.RankOptions...),
-	}
-	if s.cfg.BatchSize > 0 {
-		opts = append(opts, hitsndiffs.WithBatchSize(s.cfg.BatchSize))
 	}
 	if s.cfg.MaxStaleness > 0 {
 		opts = append(opts, hitsndiffs.WithMaxStaleness(s.cfg.MaxStaleness))

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -521,8 +522,18 @@ func TestHTTPErrorStatuses(t *testing.T) {
 	if code, _ := c.post("/v1/tenants", serve.CreateTenantRequest{Name: "e", Users: 4, Items: 2, Options: []int{2}}, nil); code != http.StatusConflict {
 		t.Fatalf("duplicate tenant: HTTP %d, want 409", code)
 	}
-	if code, _ := c.post("/v1/tenants", serve.CreateTenantRequest{Name: "bad", Users: 0, Items: 2, Options: []int{2}}, nil); code != http.StatusBadRequest {
-		t.Fatalf("zero users: HTTP %d, want 400", code)
+	for _, tc := range []struct {
+		name string
+		req  serve.CreateTenantRequest
+	}{
+		{"zero users", serve.CreateTenantRequest{Name: "bad", Users: 0, Items: 2, Options: []int{2}}},
+		{"cell count overflows int", serve.CreateTenantRequest{Name: "bad", Users: 1 << 62, Items: 4, Options: []int{2}}},
+		{"option offsets overflow int", serve.CreateTenantRequest{Name: "bad", Users: 1, Items: 4, Options: []int{math.MaxInt / 2}}},
+		{"per-item option total overflows int", serve.CreateTenantRequest{Name: "bad", Users: 1, Items: 2, Options: []int{math.MaxInt, 2}}},
+	} {
+		if code, _ := c.post("/v1/tenants", tc.req, nil); code != http.StatusBadRequest {
+			t.Fatalf("%s: HTTP %d, want 400", tc.name, code)
+		}
 	}
 	if code, _ := c.post("/v1/observe", serve.ObserveRequest{Tenant: "e", User: 99, Item: 0, Option: 0}, nil); code != http.StatusBadRequest {
 		t.Fatalf("out-of-range observation: HTTP %d, want 400", code)

@@ -35,8 +35,8 @@ type EngineMetrics struct {
 	// Generation); per-shard watermarks are in ShardMetrics.
 	ServedGeneration uint64 `json:"served_generation"`
 	// StaleServes counts results served behind the write frontier under a
-	// WithMaxStaleness bound (Rank cache entries and RankBatch tenant
-	// entries outliving their generation). Zero when the bound is zero.
+	// WithMaxStaleness bound (cache entries outliving their generation).
+	// Zero when the bound is zero.
 	StaleServes uint64 `json:"stale_serves"`
 	// MaxStaleness is the configured WithMaxStaleness bound in write
 	// generations; zero means every rank is exact. Aggregates report the
@@ -51,9 +51,6 @@ type EngineMetrics struct {
 	CacheHits uint64 `json:"cache_hits"`
 	// CacheMisses counts solves actually started (cache cold or stale).
 	CacheMisses uint64 `json:"cache_misses"`
-	// BatchSolves counts tenants solved (not served cached) through
-	// Engine.RankBatch's block-diagonal batching path.
-	BatchSolves uint64 `json:"batch_solves"`
 	// CertifiedHits counts cache misses served through the certified
 	// warm-update fast path (WithCertifiedUpdates): one or two power steps
 	// proved the previous scores converged at the solve tolerance, so the
@@ -93,7 +90,6 @@ func (m *EngineMetrics) add(o EngineMetrics) {
 	}
 	m.CacheHits += o.CacheHits
 	m.CacheMisses += o.CacheMisses
-	m.BatchSolves += o.BatchSolves
 	m.CertifiedHits += o.CertifiedHits
 	m.CertifiedFallbacks += o.CertifiedFallbacks
 	m.CSRFullRebuilds += o.CSRFullRebuilds

@@ -9,7 +9,7 @@ import (
 
 // SetParallelism sets the process-wide default number of chunks the sparse
 // kernels split each matrix-vector product into (the chunks execute on the
-// persistent worker pool — see SetPoolSize). It applies to every method
+// persistent, GOMAXPROCS-sized worker pool). It applies to every method
 // that does not carry an explicit WithParallelism option. Passing 0
 // restores the default of tracking runtime.GOMAXPROCS. Safe for concurrent
 // use; cmd/hnd and cmd/experiments expose it as -parallel.
@@ -17,19 +17,6 @@ func SetParallelism(n int) { mat.SetDefaultWorkers(n) }
 
 // Parallelism returns the effective process-wide default worker count.
 func Parallelism() int { return mat.DefaultWorkers() }
-
-// SetPoolSize sets the number of persistent worker goroutines in the shared
-// kernel pool every parallel sparse kernel — and therefore every Engine and
-// every ShardedEngine shard — dispatches through, starting the pool if
-// needed. Passing 0 resolves to runtime.GOMAXPROCS. Distinct from
-// SetParallelism: parallelism is how many chunks one kernel call splits
-// into, the pool is who executes them. Safe for concurrent use.
-func SetPoolSize(n int) { mat.SetPoolSize(n) }
-
-// PoolSize returns the current size of the shared kernel worker pool, or 0
-// if it has not started yet (it starts, GOMAXPROCS-sized, on the first
-// parallel kernel call).
-func PoolSize() int { return mat.PoolSize() }
 
 // Option is a functional tuning knob accepted by every method constructor
 // and by New. Options a method has no use for (e.g. a tolerance on the
@@ -47,7 +34,6 @@ type settings struct {
 	warmStart       mat.Vector
 	workers         int
 	update          *core.Update
-	scratchUpdate   bool
 	scratch         *core.SolveScratch
 }
 
@@ -57,13 +43,6 @@ type settings struct {
 // matrix being ranked.
 func withUpdate(u *core.Update) Option {
 	return func(s *settings) { s.update = u }
-}
-
-// withScratchUpdate forces from-scratch normalized-matrix construction,
-// bypassing every generation-keyed memo — the solve-side half of the
-// WithUpdateCache(false) escape hatch.
-func withScratchUpdate() Option {
-	return func(s *settings) { s.scratchUpdate = true }
 }
 
 // withSolveScratch threads pooled solve buffers into an HnD-power solve or
@@ -119,46 +98,23 @@ func WithParallelism(n int) Option {
 	return func(s *settings) { s.workers = n }
 }
 
-// WithBatchSize caps how many stale tenants one batched solve packs into a
-// single block-diagonal system (Engine.RankBatch, ShardedEngine.RankAll):
-// larger batches amortize kernel fan-out across more tenants, smaller ones
-// bound the packed system's working-set size. Zero or negative (the
-// default) packs every stale tenant into one batch. Plain per-matrix
-// ranking ignores it.
-func WithBatchSize(n int) EngineOption {
-	return func(s *engineSettings) { s.batchSize = n }
-}
-
-// WithMaxStaleness lets Rank and RankBatch serve the last solved scores
-// while the matrix is at most n write generations
-// (ResponseMatrix.Generation ticks, one per observation) ahead of the
-// generation they were solved at. Served results carry their Generation
+// WithMaxStaleness lets Rank serve the last solved scores while the
+// matrix is at most n write generations (ResponseMatrix.Generation ticks,
+// one per observation) ahead of the generation they were solved at. Served results carry their Generation
 // and Staleness so callers can see how far behind they are; staleness
 // never exceeds the bound. Zero (the default) keeps today's inline
 // behavior: every rank reflects the latest write before returning.
 //
 // A positive bound decouples reads from solves — writes stop spiking read
 // tails — but someone must still push the served watermark forward:
-// Refresh / RefreshBatch ignore the bound and are the paths a background
-// refresher (internal/refresh) drives. InferLabels always serves exact
-// results: labels are inferred over the same snapshot the scores came
-// from, so it never mixes a stale ranking with current responses.
-// Applies to Engine, ShardedEngine and RankBatch.
+// Refresh and RefreshEngines ignore the bound and are the paths a
+// background refresher (internal/refresh) drives. InferLabels always
+// serves exact results: labels are inferred over the same snapshot the
+// scores came from, so it never mixes a stale ranking with current
+// responses.
+// Applies to Engine and ShardedEngine.
 func WithMaxStaleness(n uint64) EngineOption {
 	return func(s *engineSettings) { s.maxStale = n }
-}
-
-// WithUpdateCache toggles the engine's generation-keyed solve-input caches
-// (default on): the per-version core.Update cache that lets a warm re-rank
-// reuse the previous solve's machinery, and the memoized normalized one-hot
-// matrices that delta-splice after writes instead of rebuilding from
-// scratch. Disabling it restores the always-rebuild construction — every
-// rank re-derives C_row/C_col from scratch — as an escape hatch and as the
-// reference path the cached-vs-scratch equivalence tests compare against.
-// Results are bitwise identical either way; the setting only trades memory
-// for per-re-rank work. Applies to Engine, ShardedEngine and RankBatch.
-func WithUpdateCache(enabled bool) EngineOption {
-	return func(s *engineSettings) { s.updateCache = enabled }
 }
 
 // WithCertifiedUpdates toggles the certified warm-update fast path (default
@@ -171,9 +127,8 @@ func WithUpdateCache(enabled bool) EngineOption {
 // and acceptance test, so served results are bitwise identical with the
 // flag on or off — the flag is an escape hatch and an A/B lever, and the
 // CertifiedHits / CertifiedFallbacks metrics report how often the path
-// pays. Only the update-backed "HnD-power" method certifies, and the path
-// also requires the update cache (WithUpdateCache(false) disables it).
-// Applies to Engine and ShardedEngine.
+// pays. Only the update-backed "HnD-power" method certifies. Applies to
+// Engine and ShardedEngine.
 func WithCertifiedUpdates(enabled bool) EngineOption {
 	return func(s *engineSettings) { s.certified = enabled }
 }
@@ -199,7 +154,6 @@ func (s settings) coreOptions() core.Options {
 		WarmStart:       s.warmStart,
 		Workers:         s.workers,
 		Update:          s.update,
-		ScratchUpdate:   s.scratchUpdate,
 		Scratch:         s.scratch,
 	}
 }

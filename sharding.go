@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"hitsndiffs/internal/core"
 	"hitsndiffs/internal/mat"
 	"hitsndiffs/internal/shard"
 )
@@ -27,8 +26,9 @@ import (
 //     whose version changed since their last solve; a single-user write
 //     therefore re-ranks 1/N of the users while the other shards answer
 //     from their caches (see BenchmarkShardedRank).
-//   - All shards share one persistent kernel worker pool (see SetPoolSize),
-//     so concurrent shard solves fan out without per-apply goroutine spawns.
+//   - All shards share one persistent, GOMAXPROCS-sized kernel worker
+//     pool, so concurrent shard solves fan out without per-apply goroutine
+//     spawns.
 //
 // The price is score granularity: user scores are only directly comparable
 // within a shard, so the merged ranking min-max normalizes each shard to
@@ -40,14 +40,11 @@ import (
 // Construct with NewShardedEngine; the zero value is not usable. All
 // methods are safe for concurrent use.
 type ShardedEngine struct {
-	method      string
-	base        []Option
-	batchSize   int
-	updateCache bool
-	maxStale    uint64 // WithMaxStaleness bound, enforced at the router's merged cache
-	engines     []*Engine
-	users       *shard.Map
-	options     []int // per-item option counts, identical across shards
+	method   string
+	maxStale uint64 // WithMaxStaleness bound, enforced at the router's merged cache
+	engines  []*Engine
+	users    *shard.Map
+	options  []int // per-item option counts, identical across shards
 
 	// mu guards the router's two memos: sparse, the per-shard
 	// too-few-users verdict keyed by shard version (recomputing it per
@@ -92,10 +89,10 @@ type sparseMemo struct {
 // (shard.Of), so the partition is deterministic across processes.
 //
 // Kernel parallelism needs no per-shard division: every shard's solves
-// dispatch their chunks through the shared persistent worker pool (see
-// SetPoolSize), which caps concurrent kernel execution at the pool size
-// plus one chunk per in-flight solve (each dispatch runs its first chunk
-// itself); surplus chunks queue. Each shard therefore keeps the full
+// dispatch their chunks through the shared persistent worker pool
+// (GOMAXPROCS workers), which caps concurrent kernel execution at the pool
+// size plus one chunk per in-flight solve (each dispatch runs its first
+// chunk itself); surplus chunks queue. Each shard therefore keeps the full
 // WithParallelism / SetParallelism chunk budget — in particular the
 // steady-state single-shard re-solve.
 func NewShardedEngine(m *ResponseMatrix, opts ...EngineOption) (*ShardedEngine, error) {
@@ -119,15 +116,12 @@ func NewShardedEngine(m *ResponseMatrix, opts ...EngineOption) (*ShardedEngine, 
 	}
 
 	se := &ShardedEngine{
-		method:      s.method,
-		base:        s.base,
-		batchSize:   s.batchSize,
-		updateCache: s.updateCache,
-		maxStale:    s.maxStale,
-		engines:     make([]*Engine, n),
-		users:       users,
-		options:     options,
-		sparse:      make([]sparseMemo, n),
+		method:   s.method,
+		maxStale: s.maxStale,
+		engines:  make([]*Engine, n),
+		users:    users,
+		options:  options,
+		sparse:   make([]sparseMemo, n),
 	}
 	// Forward the caller's options so the shard engines see the full
 	// NewEngine option surface, present and future; NewEngine ignores the
@@ -569,93 +563,39 @@ func (s *ShardedEngine) solveMerged(ctx context.Context, version uint64) (Result
 
 // RankAll ranks every shard and returns the raw per-shard results in shard
 // order, scores in shard-local user indexing (translate with LocalFor /
-// UsersOf). Shards whose version is unchanged answer from their caches;
-// the stale shards are solved together in one batched block-diagonal
-// system (core.BatchRanker, warm-started per shard), so each power step
-// services every stale shard's matvec with a single pass through the
-// persistent kernel worker pool instead of one goroutine fan-out per
-// shard. WithBatchSize caps how many shards one packed solve takes;
-// methods without a batched form rank their shards concurrently instead.
-// Shards left with fewer than two answering users — possible under hash
-// imbalance on tiny populations — report a flat, converged result instead
-// of failing the whole call. On error, the first failing shard in index
-// order wins, deterministically.
+// UsersOf). It runs the RefreshEngines loop over the shards: shards whose
+// version is unchanged answer from their caches, the stale shards are
+// solved together in one batched block-diagonal system (core.BatchRanker,
+// warm-started per shard), so each power step services every stale
+// shard's matvec with a single pass through the persistent kernel worker
+// pool instead of one goroutine fan-out per shard; methods without a
+// batched form refresh their shards concurrently instead. Every result is
+// exact for its shard's version. Shards left with fewer than two answering
+// users — possible under hash imbalance on tiny populations — report a
+// flat, converged result instead of failing the whole call. On error, the
+// first failing shard in index order wins, deterministically.
 func (s *ShardedEngine) RankAll(ctx context.Context) ([]Result, error) {
-	if s.method != batchableMethod {
-		return s.rankAllFanOut(ctx)
-	}
 	results := make([]Result, len(s.engines))
-	var items []core.BatchItem
-	var stale []int
-	var versions []uint64
+	var live []*Engine
+	var at []int
 	for i, eng := range s.engines {
+		// The merge maps a flat shard's scores to 0.5 — "no signal" — for
+		// every user there.
 		if len(s.engines) > 1 && s.shardTooSparse(i) {
 			results[i] = Result{Scores: mat.NewVector(eng.Users()), Converged: true, Generation: eng.Generation()}
 			continue
 		}
-		if res, ok := eng.peekCached(); ok {
-			results[i] = res
-			continue
-		}
-		m, version, warm := eng.solveInput()
-		// Certified fast path per shard: a written shard whose warm scores
-		// certify at the tolerance is served without joining the packed
-		// batch solve (see Engine.certifiedSolve).
-		if res, ok := eng.certifiedSolve(ctx, m, version, warm); ok {
-			results[i] = res
-			continue
-		}
-		items = append(items, core.BatchItem{M: m, WarmStart: warm})
-		stale = append(stale, i)
-		versions = append(versions, version)
+		live = append(live, eng)
+		at = append(at, i)
 	}
-	if len(items) == 0 {
-		return results, nil
-	}
-	err := runBatches(ctx, s.base, s.updateCache, s.batchSize, items,
-		func(k int) string { return fmt.Sprintf("RankAll shard %d", stale[k]) },
-		func(k int, res Result) {
-			res.Generation = items[k].M.Generation()
-			s.engines[stale[k]].storeSolved(versions[k], res)
-			results[stale[k]] = res
-		})
+	solved, err := refreshEngines(ctx, live, func(k int) string { return fmt.Sprintf("RankAll shard %d", at[k]) })
 	if err != nil {
 		return nil, err
 	}
-	return results, nil
-}
-
-// rankAllFanOut ranks every shard concurrently through its own Engine —
-// the path for methods the block-diagonal batcher cannot express.
-func (s *ShardedEngine) rankAllFanOut(ctx context.Context) ([]Result, error) {
-	results := make([]Result, len(s.engines))
-	errs := make([]error, len(s.engines))
-	var wg sync.WaitGroup
-	for i := range s.engines {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = s.rankShard(ctx, i)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	for k, res := range solved {
+		results[at[k]] = res
 	}
 	return results, nil
-}
-
-// rankShard ranks one shard, mapping the too-few-users degenerate case to a
-// flat result when the shard is only a slice of a wider population. (The
-// merge maps the flat scores to 0.5 — "no signal" — for every user there.)
-func (s *ShardedEngine) rankShard(ctx context.Context, i int) (Result, error) {
-	eng := s.engines[i]
-	if len(s.engines) > 1 && s.shardTooSparse(i) {
-		return Result{Scores: mat.NewVector(eng.Users()), Converged: true, Generation: eng.Generation()}, nil
-	}
-	return eng.Rank(ctx)
 }
 
 // Metrics returns the aggregate observability snapshot of the cluster: the

@@ -325,82 +325,12 @@ func TestInferLabelsAlwaysExact(t *testing.T) {
 	}
 }
 
-// TestRankBatchStalenessBound checks the tenant-cache half of the bound:
-// per-tenant results ride their own generation space, stale serves stay
-// within the bound and bitwise match the recorded solve, and RefreshBatch
-// forces every tenant back to exact.
-func TestRankBatchStalenessBound(t *testing.T) {
-	const bound = 3
-	ctx := context.Background()
-	eng, err := NewEngine(NewResponseMatrix(2, 2, 2),
-		WithMaxStaleness(bound), WithRankOptions(WithSeed(23), WithParallelism(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tenants := []*ResponseMatrix{
-		engineWorkload(t, 20, 8, 31),
-		engineWorkload(t, 16, 8, 32),
-	}
-	first, err := eng.RankBatch(ctx, tenants)
-	if err != nil {
-		t.Fatal(err)
-	}
-	solved := make([]map[uint64][]float64, len(tenants))
-	for i, res := range first {
-		if res.Staleness != 0 {
-			t.Fatalf("tenant %d: first batch stale", i)
-		}
-		solved[i] = map[uint64][]float64{res.Generation: append([]float64(nil), res.Scores...)}
-	}
-
-	// Writes within the bound: the batch must serve both tenants stale.
-	for i, m := range tenants {
-		for k := 0; k < bound-1; k++ {
-			m.SetAnswer(k%m.Users(), k%m.Items(), (i+k)%2)
-		}
-	}
-	stale, err := eng.RankBatch(ctx, tenants)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, res := range stale {
-		if res.Staleness == 0 || res.Staleness > bound {
-			t.Fatalf("tenant %d: staleness %d, want in (0,%d]", i, res.Staleness, bound)
-		}
-		want, ok := solved[i][res.Generation]
-		if !ok || !bitwiseEqual(res.Scores, want) {
-			t.Fatalf("tenant %d: stale serve differs from the solve at generation %d", i, res.Generation)
-		}
-	}
-	if eng.Metrics().StaleServes == 0 {
-		t.Fatal("batch stale serves not counted")
-	}
-
-	fresh, err := eng.RefreshBatch(ctx, tenants)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, res := range fresh {
-		if res.Staleness != 0 || res.Generation != tenants[i].Generation() {
-			t.Fatalf("tenant %d: RefreshBatch stale: generation %d staleness %d, frontier %d",
-				i, res.Generation, res.Staleness, tenants[i].Generation())
-		}
-	}
-	again, err := eng.RankBatch(ctx, tenants)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, res := range again {
-		if res.Staleness != 0 || !bitwiseEqual(res.Scores, fresh[i].Scores) {
-			t.Fatalf("tenant %d: rank after RefreshBatch not the refreshed result", i)
-		}
-	}
-}
-
-// TestRefreshEnginesPacked checks the scheduler's packed entry point:
-// stale batchable engines refresh through one block-diagonal solve,
-// already-fresh engines serve their cache, non-batchable engines fall
-// back to solo refreshes, and every result lands exact.
+// TestRefreshEnginesPacked checks the packed refresh loop behind the
+// scheduler and ShardedEngine.RankAll: stale batchable engines refresh
+// through one block-diagonal solve, already-fresh engines serve their
+// cache, non-batchable engines fall back to solo refreshes, and every
+// result lands exact. The TestRankBatch* tests in batch_test.go pin the
+// packed path's equivalence, caching, duplicate and error contracts.
 func TestRefreshEnginesPacked(t *testing.T) {
 	ctx := context.Background()
 	mk := func(method string, seed int64) *Engine {
@@ -429,7 +359,7 @@ func TestRefreshEnginesPacked(t *testing.T) {
 		}
 	}
 	engines := []*Engine{staleEng, freshEng, soloEng}
-	results, err := RefreshEngines(ctx, engines, 0)
+	results, err := RefreshEngines(ctx, engines)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +376,7 @@ func TestRefreshEnginesPacked(t *testing.T) {
 			t.Fatalf("engine %d: rank after RefreshEngines not the refreshed result", i)
 		}
 	}
-	if _, err := RefreshEngines(ctx, []*Engine{staleEng, nil}, 0); err == nil {
+	if _, err := RefreshEngines(ctx, []*Engine{staleEng, nil}); err == nil {
 		t.Fatal("nil engine accepted")
 	}
 }
@@ -524,8 +454,8 @@ func TestShardedStalenessBound(t *testing.T) {
 }
 
 // TestStalenessInvariantUnderConcurrency is the race leg: writers, rank
-// readers, view readers, a refresher and a batch ranker interleave freely
-// on one bounded engine, and every observation of the system must satisfy
+// readers, view readers, a refresher and a packed refresher interleave
+// freely on one bounded engine, and every observation of the system must satisfy
 // the staleness invariant — a result's generation never lags the frontier
 // read before the call by more than the bound.
 func TestStalenessInvariantUnderConcurrency(t *testing.T) {
@@ -605,27 +535,40 @@ func TestStalenessInvariantUnderConcurrency(t *testing.T) {
 		}
 	}()
 	wg.Add(1)
-	go func() { // batch ranker on goroutine-owned tenants
+	go func() { // packed refresher: the shared engine plus goroutine-owned tenants
 		defer wg.Done()
 		rng := rand.New(rand.NewSource(900))
-		tenants := []*ResponseMatrix{
-			engineWorkload(t, 16, 8, 81),
-			engineWorkload(t, 14, 8, 82),
+		engines := []*Engine{eng}
+		for i, m := range []*ResponseMatrix{engineWorkload(t, 16, 8, 81), engineWorkload(t, 14, 8, 82)} {
+			te, err := NewEngine(m, WithMaxStaleness(bound), WithRankOptions(WithSeed(7)))
+			if err != nil {
+				report("tenant %d: %v", i, err)
+				return
+			}
+			engines = append(engines, te)
 		}
 		for k := 0; k < 60; k++ {
-			results, err := eng.RankBatch(ctx, tenants)
+			genBefore := eng.Generation()
+			results, err := RefreshEngines(ctx, engines)
 			if err != nil {
-				report("rankbatch: %v", err)
+				report("refresh engines: %v", err)
 				return
 			}
 			for i, res := range results {
-				if res.Staleness > bound {
-					report("tenant %d staleness %d exceeds bound", i, res.Staleness)
+				if res.Staleness != 0 {
+					report("RefreshEngines engine %d returned staleness %d", i, res.Staleness)
 					return
 				}
 			}
-			m := tenants[rng.Intn(len(tenants))]
-			m.SetAnswer(rng.Intn(m.Users()), rng.Intn(m.Items()), rng.Intn(2))
+			if results[0].Generation < genBefore {
+				report("RefreshEngines served generation %d behind frontier %d", results[0].Generation, genBefore)
+				return
+			}
+			te := engines[1+rng.Intn(len(engines)-1)]
+			if err := te.Observe(rng.Intn(te.Users()), rng.Intn(te.Items()), rng.Intn(2)); err != nil {
+				report("tenant write: %v", err)
+				return
+			}
 		}
 	}()
 	wg.Wait()
